@@ -49,21 +49,26 @@ pub struct BuilderOptions {
     pub pipelined_row_parallelism: bool,
 }
 
-/// Memo key of one parallelism search: PE budget, whether OFM-row
-/// parallelism is allowed, the CE's schedule, and the exact layer set the
-/// CE processes. The CNN itself is fixed per [`BuildContext`], so this key
-/// captures every input of the search. (The search itself is
+/// Memo key of one parallelism search: canonical PE budget (see
+/// [`BuildContext::canonical`]), whether OFM-row parallelism is allowed,
+/// the CE's schedule, and the exact layer set the CE processes. The CNN
+/// itself is fixed per [`BuildContext`], so this key captures every input
+/// of the search, and per layer set the key space is bounded by the
+/// number of canonical budgets (362 of 2520 on a 2520-DSP board, 184
+/// without row parallelism). (The search itself is
 /// schedule-independent today — fused groups run the same loop nest — but
 /// the schedule is part of the key so a future schedule-aware search
 /// cannot silently alias cache entries across schedules.)
 type ParKey = (u32, bool, Schedule, Vec<usize>);
 
-/// Memo key of one per-CE context: PE budget, contiguous layer range
-/// (`first`, `len`), role, schedule, whether OFM-row parallelism is
-/// allowed, and the data-type widths. Unlike [`ParKey`] this includes the
-/// precision because buffer needs scale with it, while the parallelism
-/// search does not — and cloned builders reconfigured via
-/// `with_precision` share one build context.
+/// Memo key of one per-CE context: canonical PE budget, contiguous layer
+/// range (`first`, `len`), role, schedule, whether OFM-row parallelism is
+/// allowed, and the data-type widths. A context depends on the budget
+/// only through the selected parallelism, so the canonical budget keys it
+/// exactly and bounds its key space per range as for [`ParKey`]. Unlike
+/// [`ParKey`] this includes the precision because buffer needs scale with
+/// it, while the parallelism search does not — and cloned builders
+/// reconfigured via `with_precision` share one build context.
 type CtxKey = (u32, usize, usize, CeRole, Schedule, bool, Precision);
 
 /// One CE's implementation context, planned in isolation from the rest of
@@ -71,8 +76,8 @@ type CtxKey = (u32, usize, usize, CeRole, Schedule, bool, Precision);
 /// range and the buffer *needs* that parallelism implies (grants start at
 /// the minimum; callers run [`distribute_slack`] across a whole design).
 ///
-/// [`MultipleCeBuilder::ce_context`] memoizes these per
-/// (pes, range, role, schedule) — the delta-evaluation path in `mccm-dse`
+/// [`MultipleCeBuilder::ce_context`] memoizes these per (canonical pes,
+/// range, role, schedule) — the delta-evaluation path in `mccm-dse`
 /// assembles whole designs from cached contexts without paying a full
 /// [`MultipleCeBuilder::build`], and the invariant is that a context
 /// planned alone is identical to the same CE inside a full build.
@@ -87,19 +92,21 @@ pub struct CeContext {
     pub needs: CeBufferAlloc,
 }
 
-/// Upper bound on memoized search results per build context. The PE
-/// budget in the key depends on the whole design's workload split, so a
-/// very long sweep can keep minting fresh `(pes, layers)` pairs; past
-/// this cap new results are simply not inserted (lookups stay correct,
-/// memory stays bounded — results never depend on cache contents). At
-/// ~100 bytes/entry the cap bounds the cache at tens of MB; sweeps mint
-/// well under two entries per fresh design and revisit keys heavily, so
-/// the cap only bites on sweeps far past the 100k-design scale.
+/// Upper bound on memoized search results per build context. Keys hold
+/// the canonical budget, so each layer set contributes at most one entry
+/// per canonical budget; but the number of distinct layer sets a long
+/// sweep or optimizer run can visit is unbounded, so past this cap new
+/// results are simply not inserted (lookups stay correct, memory stays
+/// bounded — results never depend on cache contents). At ~100
+/// bytes/entry the cap bounds the cache at tens of MB; sweeps mint well
+/// under two entries per fresh design and revisit keys heavily, so the
+/// cap only bites on sweeps far past the 100k-design scale.
 const MEMO_CAP: usize = 1 << 18;
 
 /// Sweep-invariant state shared by every build of one `(CNN, board)`
 /// pair: the candidate factor table for the board's full DSP budget
-/// (per-CE budgets use prefixes of it) and the memoized results of
+/// (per-CE budgets use prefixes of it), the factor products that map a
+/// raw budget to its canonical one, and the memoized results of
 /// [`select_parallelism`] — in design-space sweeps the same segment
 /// boundaries recur constantly, and the cubic factor search is the
 /// dominant per-design cost.
@@ -111,10 +118,40 @@ const MEMO_CAP: usize = 1 << 18;
 struct BuildContext {
     /// Ascending candidate factors for the board's full DSP budget.
     candidates: Vec<u32>,
+    /// Ascending factor products `p_f·p_oh·p_ow ≤ dsps`.
+    budgets: Vec<u32>,
+    /// Ascending factor products `p_f·p_ow ≤ dsps` (row-restricted).
+    row_budgets: Vec<u32>,
     /// Memoized search results.
     memo: RwLock<HashMap<ParKey, Parallelism>>,
     /// Memoized per-CE contexts (delta-evaluation hook).
     ce_ctx: RwLock<HashMap<CtxKey, CeContext>>,
+}
+
+impl BuildContext {
+    fn new(dsps: u32) -> Self {
+        let candidates = parallelism::candidates(dsps);
+        Self {
+            budgets: parallelism::budget_products(&candidates, dsps, true),
+            row_budgets: parallelism::budget_products(&candidates, dsps, false),
+            candidates,
+            memo: RwLock::default(),
+            ce_ctx: RwLock::default(),
+        }
+    }
+
+    /// The canonical form of a budget `pes ≤ dsps`: the largest factor
+    /// product not above it. The search's result depends on `pes` only
+    /// through this value, so memo keys hold it instead of the raw
+    /// budget, which every fresh PE split would otherwise mint anew.
+    fn canonical(&self, pes: u32, allow_rows: bool) -> u32 {
+        let products = if allow_rows {
+            &self.budgets
+        } else {
+            &self.row_budgets
+        };
+        parallelism::canonical_budget(products, pes)
+    }
 }
 
 /// Builds accelerators for one (CNN, board) pair.
@@ -158,7 +195,6 @@ pub struct MultipleCeBuilder {
 impl MultipleCeBuilder {
     /// Creates a builder with default (8-bit) precision and heuristics.
     pub fn new(model: &CnnModel, board: &FpgaBoard) -> Self {
-        let candidates = parallelism::candidates(board.dsps);
         Self {
             model_name: model.name().into(),
             convs: model.conv_view().into(),
@@ -166,11 +202,7 @@ impl MultipleCeBuilder {
             precision: Precision::default(),
             options: BuilderOptions::default(),
             memoize: true,
-            ctx: Arc::new(BuildContext {
-                candidates,
-                memo: RwLock::new(HashMap::new()),
-                ce_ctx: RwLock::new(HashMap::new()),
-            }),
+            ctx: Arc::new(BuildContext::new(board.dsps)),
         }
     }
 
@@ -200,6 +232,12 @@ impl MultipleCeBuilder {
     /// Number of convolution layers of the underlying model.
     pub fn layer_count(&self) -> usize {
         self.convs.len()
+    }
+
+    /// The model's convolution view (`CnnModel::conv_view`), resolved
+    /// once at construction and shared by every build.
+    pub fn convs(&self) -> &[ConvInfo] {
+        &self.convs
     }
 
     /// The board this builder targets.
@@ -254,9 +292,14 @@ impl MultipleCeBuilder {
     /// same range — the property the delta evaluation path in `mccm-dse`
     /// relies on to recombine cached segment costs.
     ///
+    /// `pes` must not exceed the board's DSP count: the candidate and
+    /// budget tables only cover the board's budget. Any split produced by
+    /// [`distribute_pes`] over the board's DSPs meets this.
+    ///
     /// # Panics
     ///
-    /// Debug-asserts the range is non-empty and within the model.
+    /// Debug-asserts the range is non-empty and within the model, and
+    /// that `pes ≤ board.dsps`.
     pub fn ce_context(
         &self,
         pes: u32,
@@ -266,6 +309,7 @@ impl MultipleCeBuilder {
         schedule: Schedule,
     ) -> CeContext {
         debug_assert!(len > 0 && first + len <= self.convs.len());
+        debug_assert!(pes <= self.board.dsps, "{pes} PEs exceed the board");
         let allow_rows = match role {
             CeRole::Single => true,
             CeRole::Pipelined => self.options.pipelined_row_parallelism,
@@ -273,6 +317,7 @@ impl MultipleCeBuilder {
         if !self.memoize {
             return self.plan_ce_context(pes, first, len, role, schedule, allow_rows);
         }
+        let pes = self.ctx.canonical(pes, allow_rows);
         let key: CtxKey = (pes, first, len, role, schedule, allow_rows, self.precision);
         if let Some(c) = self
             .ctx
@@ -326,8 +371,10 @@ impl MultipleCeBuilder {
     }
 
     /// Memoized per-CE parallelism selection: cache hit for layer sets
-    /// (and PE budgets) seen in any earlier build of this builder or its
-    /// clones; otherwise the precomputed-grid search.
+    /// (and canonical PE budgets) seen in any earlier build of this
+    /// builder or its clones; otherwise the precomputed-grid search, run
+    /// at the canonical budget. The unmemoized path searches at the raw
+    /// budget and is the reference the memoized one must match.
     fn parallelism_for(
         &self,
         pes: u32,
@@ -335,12 +382,14 @@ impl MultipleCeBuilder {
         allow_rows: bool,
         schedule: Schedule,
     ) -> Parallelism {
+        debug_assert!(pes <= self.board.dsps, "{pes} PEs exceed the board");
         if layers.is_empty() || pes <= 1 {
             return Parallelism::scalar();
         }
         if !self.memoize {
             return self.search_parallelism(pes, layers, allow_rows);
         }
+        let pes = self.ctx.canonical(pes, allow_rows);
         let key: ParKey = (pes, allow_rows, schedule, layers.to_vec());
         if let Some(p) = self.ctx.memo.read().expect("memo poisoned").get(&key) {
             return *p;
@@ -623,6 +672,25 @@ mod tests {
             assert_eq!(a, again);
         }
         assert_eq!(cold.ce_context_memo_len(), 0);
+    }
+
+    #[test]
+    fn budgets_with_one_canonical_form_share_memo_entries() {
+        // 2519 = 11·229 is no factor product, so it shares its canonical
+        // budget with a smaller one: both hit one entry in each memo.
+        let m = zoo::resnet50();
+        let b = MultipleCeBuilder::new(&m, &FpgaBoard::zcu102());
+        let canon = b.ctx.canonical(2519, true);
+        assert!(canon < 2519);
+        let raw = b.ce_context(2519, 0, 4, CeRole::Single, Schedule::LayerByLayer);
+        let at_canon = b.ce_context(canon, 0, 4, CeRole::Single, Schedule::LayerByLayer);
+        assert_eq!(raw, at_canon);
+        assert_eq!(b.memo_len(), 1);
+        assert_eq!(b.ce_context_memo_len(), 1);
+        let reference = MultipleCeBuilder::new(&m, &FpgaBoard::zcu102())
+            .with_memoization(false)
+            .ce_context(2519, 0, 4, CeRole::Single, Schedule::LayerByLayer);
+        assert_eq!(raw, reference);
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! [`candidate_prefix`]), and the per-layer `ceil(extent / factor)` terms
 //! of Eq. (1) are precomputed over the candidate grid instead of being
 //! re-derived inside the triple loop. [`MultipleCeBuilder`] additionally
-//! memoizes whole search results per `(pes, layer set)` — see
-//! `builder/mod.rs`.
+//! memoizes whole search results per `(canonical budget, layer set)`
+//! ([`canonical_budget`]) — see `builder/mod.rs`.
 //!
 //! [`MultipleCeBuilder`]: crate::MultipleCeBuilder
 
@@ -67,6 +67,54 @@ pub(crate) fn candidate_prefix(table: &[u32], pes: u32) -> &[u32] {
     &table[..table.partition_point(|&v| v <= pes)]
 }
 
+/// Every PE count a factor configuration drawn from `cand` can occupy:
+/// the distinct products `p_f·p_oh·p_ow ≤ max` (`p_f·p_ow` when
+/// `allow_rows` is off), ascending. Always starts at 1.
+///
+/// The search's feasible triples and its [`candidate_prefix`] depend on a
+/// budget `pes ≤ max` only through [`canonical_budget`] (the largest
+/// product `≤ pes`), so searching at the canonical budget returns exactly
+/// the result of searching at `pes`.
+pub(crate) fn budget_products(cand: &[u32], max: u32, allow_rows: bool) -> Vec<u32> {
+    let max = max as usize;
+    let row_cand = if allow_rows {
+        cand
+    } else {
+        &cand[..cand.len().min(1)]
+    };
+    let mut seen = vec![false; max + 1];
+    for &pf in cand {
+        let pf = pf as usize;
+        for &poh in row_cand {
+            let pfoh = pf * poh as usize;
+            if pfoh > max {
+                break;
+            }
+            for &pow in cand {
+                let p = pfoh * pow as usize;
+                if p > max {
+                    break;
+                }
+                seen[p] = true;
+            }
+        }
+    }
+    (1..=max)
+        .filter(|&p| seen[p])
+        .map(|p| u32::try_from(p).expect("bounded by a u32 budget"))
+        .collect()
+}
+
+/// The largest entry of ascending `products` ([`budget_products`]) not
+/// above `pes` — the budget the search actually sees. Budgets below the
+/// first product (0) map to themselves.
+pub(crate) fn canonical_budget(products: &[u32], pes: u32) -> u32 {
+    match products.partition_point(|&p| p <= pes) {
+        0 => pes,
+        i => products[i - 1],
+    }
+}
+
 /// Selects the 3-D parallelism for a CE with `pes` PEs processing
 /// `layers`, minimizing total Eq. (1) cycles (ties: higher filter
 /// parallelism, then higher row parallelism, for weight-reuse-friendly
@@ -103,6 +151,13 @@ fn select_parallelism_dims(pes: u32, layers: &[&ConvInfo], allow_rows: bool) -> 
 /// `(C·KH·KW) · ceil(F/p_f) · ceil(OH/p_oh) · ceil(OW/p_ow)` with the
 /// invariant part and the two outer `ceil` terms hoisted out of the inner
 /// loops, and the per-candidate `ceil` grids precomputed once.
+///
+/// On top of that, a work bound prunes whole subtrees: every `ceil` term
+/// is at least `extent / factor`, so a layer set's remaining work divided
+/// by the largest factor product still available bounds the cost from
+/// below. Subtrees whose bound lies strictly above the incumbent are
+/// skipped; they can neither win nor tie, and the surviving triples are
+/// visited in the original order, so the tie-breaks are untouched.
 pub(crate) fn search_parallelism(
     cand: &[u32],
     pes: u32,
@@ -115,6 +170,10 @@ pub(crate) fn search_parallelism(
     let rest: Vec<u64> = dims
         .iter()
         .map(|d| u64::from(d[1]) * u64::from(d[4]) * u64::from(d[5]))
+        .collect();
+    let area: Vec<u128> = dims
+        .iter()
+        .map(|d| u128::from(d[2]) * u128::from(d[3]))
         .collect();
     // ceil(extent / candidate) grids, candidate-major.
     let nc = cand.len();
@@ -147,18 +206,33 @@ pub(crate) fn search_parallelism(
             break;
         }
         let max_oh = pes / pf;
+        // Work bound: p_oh·p_ow ≤ max_oh, so cost ≥ Σ a·OH·OW / max_oh.
+        let mut work = 0u128;
         for (l, av) in a.iter_mut().enumerate() {
             *av = rest[l] * cf[i * n + l];
+            work += u128::from(*av) * area[l];
+        }
+        if work > u128::from(best_cost.get()) * u128::from(max_oh) {
+            continue;
         }
         for (j, &poh) in row_cand.iter().enumerate() {
             if poh > max_oh {
                 break;
             }
             let max_ow = max_oh / poh;
+            // Work bound: cost ≥ Σ b·OW / p_ow for every p_ow ≤ max_ow.
+            let mut work = 0u128;
             for (l, bv) in b.iter_mut().enumerate() {
                 *bv = a[l] * coh[j * n + l];
+                work += u128::from(*bv) * u128::from(dims[l][3]);
             }
-            for (k, &pow) in cand.iter().enumerate() {
+            let best_raw = u128::from(best_cost.get());
+            if work > best_raw * u128::from(max_ow) {
+                continue;
+            }
+            // Every p_ow with p_ow·best < work is strictly worse.
+            let start = cand.partition_point(|&p| u128::from(p) * best_raw < work);
+            for (k, &pow) in cand.iter().enumerate().skip(start) {
                 if pow > max_ow {
                     break;
                 }
@@ -271,6 +345,66 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn canonical_budget_search_matches_reference_at_raw_budget() {
+        // Searching at the canonical budget (what the builder's memo keys
+        // hold) must reproduce the reference search at the raw budget for
+        // every budget of a 2520-DSP board (sampled every 11th budget to
+        // keep debug-mode test time low, plus the maximum).
+        const MAX: u32 = 2520;
+        let table = candidates(MAX);
+        let (resnet, xception, densenet) = (zoo::resnet50(), zoo::xception(), zoo::densenet121());
+        let (r, x, d) = (
+            resnet.conv_view(),
+            xception.conv_view(),
+            densenet.conv_view(),
+        );
+        let sets: [Vec<&ConvInfo>; 3] = [
+            r.iter().take(6).collect(),
+            x.iter().skip(4).take(6).collect(),
+            d.iter().skip(30).take(6).collect(),
+        ];
+        for allow_rows in [true, false] {
+            let products = budget_products(&table, MAX, allow_rows);
+            assert_eq!(products.len(), if allow_rows { 362 } else { 184 });
+            for pes in (2..=MAX).step_by(11).chain([MAX]) {
+                let canon = canonical_budget(&products, pes);
+                assert!(canon <= pes);
+                for layers in &sets {
+                    let dims: Vec<[u32; 6]> = layers.iter().map(|l| l.dims).collect();
+                    let cand = candidate_prefix(&table, canon);
+                    let fast = search_parallelism(cand, canon, allow_rows, &dims);
+                    let slow = reference_search(pes, layers, allow_rows);
+                    assert_eq!(fast, slow, "pes={pes} canon={canon} rows={allow_rows}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn budget_products_are_the_feasible_factor_products() {
+        let table = candidates(300);
+        for allow_rows in [true, false] {
+            let products = budget_products(&table, 300, allow_rows);
+            let rows: &[u32] = if allow_rows { &table } else { &[1] };
+            let mut direct = Vec::new();
+            for &f in &table {
+                for &h in rows {
+                    for &w in &table {
+                        if f * h * w <= 300 {
+                            direct.push(f * h * w);
+                        }
+                    }
+                }
+            }
+            direct.sort_unstable();
+            direct.dedup();
+            assert_eq!(products, direct);
+            assert_eq!(canonical_budget(&products, 0), 0);
+            assert_eq!(canonical_budget(&products, 1), 1);
         }
     }
 

@@ -293,7 +293,7 @@ impl CacheStats {
     }
 }
 
-/// Bounded per-island cache of [`SegmentCost`]s keyed by [`SegKey`],
+/// Bounded per-island cache of [`SegmentCost`]s keyed by `SegKey`,
 /// plus the reusable staging buffers of the delta path (one `SegCache`
 /// per island/worker — it is not shared across threads, which keeps
 /// eviction order deterministic per island).
@@ -394,12 +394,12 @@ impl DeltaContext {
     /// options.
     pub fn new(explorer: &Explorer) -> Self {
         let config = ModelConfig::default();
-        let convs = explorer.model().conv_view();
+        let convs = explorer.builder().convs();
         let board = explorer.builder().board();
         let precision = explorer.builder().precision();
         let mut mac_prefix = Vec::with_capacity(convs.len() + 1);
         mac_prefix.push(0u64);
-        for c in &convs {
+        for c in convs {
             mac_prefix.push(mac_prefix.last().expect("non-empty") + c.macs);
         }
         let handoff_bytes = convs

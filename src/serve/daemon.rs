@@ -30,7 +30,7 @@
 //! holds the daemon to both identities under fault injection.
 
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -206,6 +206,10 @@ struct Shared {
     drain_cond: Condvar,
     draining: AtomicBool,
     stop: AtomicBool,
+    /// Where the `shutdown` handler connects to wake the blocking accept
+    /// loop: the bound address, with an unspecified IP replaced by
+    /// loopback.
+    wake_addr: SocketAddr,
     stats: Mutex<ServeStats>,
     watchdog: Mutex<Vec<(Instant, CancelToken)>>,
     watchdog_cond: Condvar,
@@ -273,6 +277,13 @@ impl Server {
         let local = listener
             .local_addr()
             .map_err(|e| Error::io("resolving bound address", e))?;
+        let mut wake_addr = local;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match local.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         Ok(Self {
             listener,
             addr: local,
@@ -285,6 +296,7 @@ impl Server {
                 drain_cond: Condvar::new(),
                 draining: AtomicBool::new(false),
                 stop: AtomicBool::new(false),
+                wake_addr,
                 stats: Mutex::new(ServeStats::default()),
                 watchdog: Mutex::new(Vec::new()),
                 watchdog_cond: Condvar::new(),
@@ -317,19 +329,17 @@ impl Server {
             std::thread::spawn(move || watchdog_loop(&s))
         };
 
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| Error::io("listener nonblocking", e))?;
-        while !shared.stop.load(Ordering::Acquire) {
+        // Blocking accept: the `shutdown` handler sets `stop` and then
+        // connects once to `wake_addr`, so the loop sees `stop` on the
+        // wake-up connection (or on any connection after it).
+        loop {
             match self.listener.accept() {
+                Ok(_) if shared.stop.load(Ordering::Acquire) => break,
                 Ok((stream, _peer)) => {
                     let s = Arc::clone(shared);
                     // Handlers are detached: they exit when their client
                     // closes or on the first request after stop.
                     std::thread::spawn(move || handle_connection(stream, &s));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(Error::io("accepting connection", e)),
@@ -535,6 +545,8 @@ fn dispatch(request: &Json, shared: &Arc<Shared>) -> Json {
         shared.stop.store(true, Ordering::Release);
         shared.queue_cond.notify_all();
         shared.watchdog_cond.notify_all();
+        // Wake the accept loop; it exits on seeing `stop`.
+        let _ = TcpStream::connect(shared.wake_addr);
         let mut o = Json::object();
         o.push("ok", true);
         o.push("drained", true);
