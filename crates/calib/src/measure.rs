@@ -1,6 +1,8 @@
 //! Running promoted designs through the simulator and extracting
 //! calibration pairs.
 
+use std::collections::HashMap;
+
 use mccm_arch::BuiltAccelerator;
 use mccm_core::{CancelToken, Evaluation, Metric};
 use mccm_json::Json;
@@ -34,6 +36,61 @@ pub fn metric_pairs(eval: &Evaluation, sim: &SimResult) -> Vec<(Metric, f64, f64
         .into_iter()
         .map(|r| (r.metric, r.estimated, r.reference))
         .collect()
+}
+
+/// Designs a [`MeasureMemo`] holds at most. Past the cap new
+/// measurements are dropped, not inserted: lookups stay exact and memory
+/// stays bounded (a few hundred bytes per entry).
+const MEASURE_MEMO_CAP: usize = 1024;
+
+/// Bounded, exact memo of [`metric_pairs`] results keyed by design
+/// notation, for one warmed (model, board, precision, batch) context.
+///
+/// A design's build, evaluation and simulation under a fixed
+/// [`SimConfig`] are pure functions of its spec and the context, and the
+/// notation round-trips to the spec, so a hit returns exactly the pairs
+/// a fresh measurement would. Callers must keep one memo per context
+/// and simulate under one config.
+#[derive(Debug, Default)]
+pub struct MeasureMemo {
+    pairs: HashMap<String, Vec<(Metric, f64, f64)>>,
+    hits: u64,
+    misses: u64,
+}
+
+impl MeasureMemo {
+    /// An empty memo.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The memoized pairs of `notation`, counting a hit or a miss.
+    pub fn get(&mut self, notation: &str) -> Option<&[(Metric, f64, f64)]> {
+        let found = self.pairs.get(notation);
+        if found.is_some() {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        found.map(Vec::as_slice)
+    }
+
+    /// Records a completed measurement; dropped once the memo is full.
+    pub fn insert(&mut self, notation: &str, pairs: &[(Metric, f64, f64)]) {
+        if self.pairs.len() < MEASURE_MEMO_CAP {
+            self.pairs.insert(notation.to_string(), pairs.to_vec());
+        }
+    }
+
+    /// Lookups answered from the memo.
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Lookups that found nothing (each one a fresh measurement).
+    pub fn misses(&self) -> u64 {
+        self.misses
+    }
 }
 
 /// Deterministic JSON form of a [`SimResult`] — the byte-level identity
@@ -99,6 +156,22 @@ mod tests {
         let cancel = CancelToken::new();
         cancel.cancel();
         assert!(simulate(&acc, &eval, SimConfig::default(), &cancel).is_none());
+    }
+
+    #[test]
+    fn memo_counts_lookups_and_drops_inserts_past_its_cap() {
+        let pairs = [(Metric::Latency, 1.0, 1.5)];
+        let mut memo = MeasureMemo::new();
+        assert!(memo.get("{L1-Last: CE1}").is_none());
+        memo.insert("{L1-Last: CE1}", &pairs);
+        assert_eq!(memo.get("{L1-Last: CE1}"), Some(&pairs[..]));
+        assert_eq!((memo.hits(), memo.misses()), (1, 1));
+        for i in 0..2 * MEASURE_MEMO_CAP {
+            memo.insert(&format!("design {i}"), &pairs);
+        }
+        assert_eq!(memo.pairs.len(), MEASURE_MEMO_CAP);
+        assert!(memo.get("{L1-Last: CE1}").is_some(), "early entries stay");
+        assert!(memo.get(&format!("design {MEASURE_MEMO_CAP}")).is_none());
     }
 
     #[test]

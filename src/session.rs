@@ -30,7 +30,7 @@
 //! assert_eq!(first.to_json_string(), second.to_json_string());
 //! ```
 
-use crate::calib::{Correction, CALIBRATED_METRICS};
+use crate::calib::{Correction, MeasureMemo, CALIBRATED_METRICS};
 use crate::core::{EnergyEstimate, EnergyModel, EvalSummary, Evaluation, Metric};
 use crate::dse::{
     hypervolume, par_pareto_indices, select_all_metrics, union_bounds, BaselinePoint, CacheStats,
@@ -49,11 +49,21 @@ pub struct SessionStats {
     pub misses: u64,
     /// Contexts dropped to respect the capacity bound.
     pub evictions: u64,
+    /// Promoted calibrate designs answered from a context's measurement
+    /// memo instead of the simulator, summed over every memo the session
+    /// has held.
+    pub measure_hits: u64,
+    /// Promoted calibrate designs the memo did not hold (each one a
+    /// build, evaluation and simulator run).
+    pub measure_misses: u64,
 }
 
 struct CacheEntry {
     key: String,
     explorer: Explorer,
+    /// Simulator measurements of this context's promoted designs; dropped
+    /// with the context.
+    memo: MeasureMemo,
 }
 
 /// Executes scenarios against an LRU cache of warmed builder contexts.
@@ -157,7 +167,8 @@ impl Session {
         scenario: &Scenario,
         cancel: &CancelToken,
     ) -> Result<(Outcome, bool), Error> {
-        let explorer = self.context_for(scenario)?;
+        let entry = self.context_for(scenario)?;
+        let explorer = &entry.explorer;
         let workers = scenario.workers;
         match &scenario.action {
             Action::Evaluate { design } => {
@@ -300,39 +311,32 @@ impl Session {
                     .name()
                     .map(str::to_string)
                     .unwrap_or_else(|| format!("{:?}", scenario.precision));
-                let sim_config = crate::sim::SimConfig::default();
+                let memo_before = (entry.memo.hits(), entry.memo.misses());
+                let measured = measure_promoted(
+                    explorer,
+                    &mut entry.memo,
+                    &guided,
+                    &promoted_indices,
+                    cancel,
+                );
+                let (hits, misses) = (
+                    entry.memo.hits() - memo_before.0,
+                    entry.memo.misses() - memo_before.1,
+                );
+                self.stats.measure_hits += hits;
+                self.stats.measure_misses += misses;
+                let (promoted, cut_short) = measured?;
+                degraded |= cut_short;
                 let mut fresh = crate::calib::CalibStore::new();
-                let mut promoted = Vec::new();
-                for &front_index in &promoted_indices {
-                    if cancel.is_cancelled() {
-                        degraded = true;
-                        break;
-                    }
-                    let spec = guided.points[front_index]
-                        .design
-                        .to_spec(explorer.model())?;
-                    let acc = explorer.builder().build(&spec)?;
-                    let eval = crate::core::CostModel::evaluate(&acc);
-                    let Some(sim) = crate::calib::simulate(&acc, &eval, sim_config, cancel) else {
-                        // Deadline fired mid-simulation: keep the pairs
-                        // already banked, drop the half-measured design.
-                        degraded = true;
-                        break;
-                    };
-                    let pairs = crate::calib::metric_pairs(&eval, &sim);
+                for p in &promoted {
                     fresh.record(
                         &board_name,
                         &precision,
                         &model_name,
                         scenario.batch,
-                        &eval.notation,
-                        &pairs,
+                        &p.notation,
+                        &p.pairs,
                     );
-                    promoted.push(PromotedMember {
-                        front_index,
-                        notation: eval.notation.clone(),
-                        pairs,
-                    });
                 }
                 // Corrections fit against the *merged* evidence: this
                 // run's pairs plus whatever the persistent store already
@@ -392,8 +396,8 @@ impl Session {
     }
 
     /// Looks up (or constructs) the warmed context for a scenario and
-    /// returns a borrow of its explorer, updating LRU order and stats.
-    fn context_for(&mut self, scenario: &Scenario) -> Result<&Explorer, Error> {
+    /// returns a borrow of it, updating LRU order and stats.
+    fn context_for(&mut self, scenario: &Scenario) -> Result<&mut CacheEntry, Error> {
         let key = cache_key(scenario);
         if let Some(i) = self.entries.iter().position(|e| e.key == key) {
             self.stats.hits += 1;
@@ -406,14 +410,69 @@ impl Session {
             let builder = crate::arch::MultipleCeBuilder::new(&model, &board)
                 .with_precision(scenario.precision);
             let explorer = Explorer::from_parts(model, builder);
-            self.entries.insert(0, CacheEntry { key, explorer });
+            self.entries.insert(
+                0,
+                CacheEntry {
+                    key,
+                    explorer,
+                    memo: MeasureMemo::new(),
+                },
+            );
             if self.entries.len() > self.capacity {
                 self.entries.pop();
                 self.stats.evictions += 1;
             }
         }
-        Ok(&self.entries[0].explorer)
+        Ok(&mut self.entries[0])
     }
+}
+
+/// Measures each promoted front member against the simulator, in
+/// promotion order, answering designs this context already measured from
+/// `memo`. Returns the measured members and whether `cancel` cut the run
+/// short (checked before each design and inside the simulator).
+fn measure_promoted(
+    explorer: &Explorer,
+    memo: &mut MeasureMemo,
+    guided: &GuidedFront,
+    promoted_indices: &[usize],
+    cancel: &CancelToken,
+) -> Result<(Vec<PromotedMember>, bool), Error> {
+    let mut promoted = Vec::with_capacity(promoted_indices.len());
+    for &front_index in promoted_indices {
+        if cancel.is_cancelled() {
+            return Ok((promoted, true));
+        }
+        let member = &guided.points[front_index];
+        let notation = &member.summary.notation;
+        let pairs = match memo.get(notation) {
+            Some(pairs) => pairs.to_vec(),
+            None => {
+                let spec = member.design.to_spec(explorer.model())?;
+                let acc = explorer.builder().build(&spec)?;
+                let eval = crate::core::CostModel::evaluate(&acc);
+                debug_assert_eq!(
+                    notation, &eval.notation,
+                    "the memo key must be the measured design's notation"
+                );
+                let sim_config = crate::sim::SimConfig::default();
+                let Some(sim) = crate::calib::simulate(&acc, &eval, sim_config, cancel) else {
+                    // Deadline fired mid-simulation: keep the pairs
+                    // already banked, drop the half-measured design.
+                    return Ok((promoted, true));
+                };
+                let pairs = crate::calib::metric_pairs(&eval, &sim);
+                memo.insert(notation, &pairs);
+                pairs
+            }
+        };
+        promoted.push(PromotedMember {
+            front_index,
+            notation: notation.clone(),
+            pairs,
+        });
+    }
+    Ok((promoted, false))
 }
 
 /// Rewrites the instantiated design's per-assignment schedules from the

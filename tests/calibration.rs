@@ -130,3 +130,85 @@ fn cancelled_calibration_degrades_honestly() {
     assert!(o.promoted.is_empty());
     assert!(o.corrections.iter().all(|(_, c)| c.pairs == 0));
 }
+
+fn calibrate_on(model: &str, board: &str, seed: u64) -> Scenario {
+    Scenario::from_json_str(&format!(
+        r#"{{"model": {{"zoo": "{model}"}}, "board": {{"builtin": "{board}"}}, "seed": {seed},
+            "action": {{"calibrate": {{"budget": 200, "top_k": 6}}}}}}"#
+    ))
+    .unwrap()
+}
+
+#[test]
+fn memoized_measurements_match_fresh_sessions() {
+    let mut warm = Session::new();
+    for seed in 1..=6 {
+        for (model, board) in [("mobilenetv2", "zc706"), ("mobilenetv2", "vcu108")] {
+            let scenario = calibrate_on(model, board, seed);
+            let memoized = warm.run(&scenario).unwrap().to_json_string();
+            let fresh = Session::new().run(&scenario).unwrap().to_json_string();
+            assert_eq!(memoized, fresh, "{model}/{board} seed {seed}");
+        }
+    }
+    let stats = warm.stats();
+    assert!(stats.measure_hits > 0, "{stats:?}");
+    assert!(stats.measure_misses > 0, "{stats:?}");
+}
+
+#[test]
+fn memoized_store_runs_match_fresh_sessions() {
+    let warm_path = scratch("memo-warm");
+    let fresh_path = scratch("memo-fresh");
+    let _ = std::fs::remove_file(&warm_path);
+    let _ = std::fs::remove_file(&fresh_path);
+
+    let warm_scenario = calibrate_scenario(Some(warm_path.to_str().unwrap()));
+    let mut warm = Session::new();
+    warm.run(&warm_scenario).unwrap();
+    warm.run(&warm_scenario).unwrap();
+    assert!(warm.stats().measure_hits > 0, "{:?}", warm.stats());
+
+    let fresh_scenario = calibrate_scenario(Some(fresh_path.to_str().unwrap()));
+    Session::new().run(&fresh_scenario).unwrap();
+    Session::new().run(&fresh_scenario).unwrap();
+
+    assert_eq!(
+        std::fs::read(&warm_path).unwrap(),
+        std::fs::read(&fresh_path).unwrap()
+    );
+    let _ = std::fs::remove_file(&warm_path);
+    let _ = std::fs::remove_file(&fresh_path);
+}
+
+#[test]
+fn cancelled_calibration_memoizes_nothing() {
+    let scenario = calibrate_scenario(None);
+    let cancel = CancelToken::new();
+    cancel.cancel();
+    let mut session = Session::new();
+    let (_, degraded) = session.run_cancellable(&scenario, &cancel).unwrap();
+    assert!(degraded);
+    assert_eq!(session.stats().measure_misses, 0);
+
+    session.run(&scenario).unwrap();
+    let stats = *session.stats();
+    assert_eq!(stats.measure_hits, 0, "{stats:?}");
+    assert!(stats.measure_misses > 0, "{stats:?}");
+}
+
+#[test]
+fn evicting_contexts_drops_their_measurements() {
+    let scenario = calibrate_scenario(None);
+    let mut session = Session::new();
+    session.run(&scenario).unwrap();
+    let measured = session.stats().measure_misses;
+    assert!(measured > 0);
+    session.run(&scenario).unwrap();
+    assert_eq!(session.stats().measure_hits, measured);
+
+    session.evict_all();
+    session.run(&scenario).unwrap();
+    let stats = *session.stats();
+    assert_eq!(stats.measure_misses, 2 * measured, "{stats:?}");
+    assert_eq!(stats.measure_hits, measured, "{stats:?}");
+}
