@@ -77,10 +77,12 @@ type CtxKey = (u32, usize, usize, CeRole, Schedule, bool, Precision);
 /// the minimum; callers run [`distribute_slack`] across a whole design).
 ///
 /// [`MultipleCeBuilder::ce_context`] memoizes these per (canonical pes,
-/// range, role, schedule) — the delta-evaluation path in `mccm-dse`
-/// assembles whole designs from cached contexts without paying a full
-/// [`MultipleCeBuilder::build`], and the invariant is that a context
-/// planned alone is identical to the same CE inside a full build.
+/// range, role, schedule). The delta-evaluation path in `mccm-dse` plans
+/// whole designs from cached contexts and, when a segment misses, hands
+/// that plan to [`MultipleCeBuilder::assemble`] instead of paying a
+/// [`MultipleCeBuilder::build`]. The invariant is that a context planned
+/// alone is identical to the same CE inside a full build, so the
+/// assembled accelerator equals the built one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CeContext {
     /// Selected parallelism — identical to the full build's choice for a
@@ -90,6 +92,16 @@ pub struct CeContext {
     /// already applied for single-CE ranges (a single-CE range is its own
     /// segment in the designs this hook serves).
     pub needs: CeBufferAlloc,
+}
+
+/// What a spec alone decides about a design, before any PE, parallelism
+/// or buffer choice: its segments and each CE's role, schedule and layers
+/// (indexed by CE id).
+struct Layout {
+    segments: Vec<Segment>,
+    roles: Vec<CeRole>,
+    schedules: Vec<Schedule>,
+    ce_layers: Vec<Vec<usize>>,
 }
 
 /// Upper bound on memoized search results per build context. Keys hold
@@ -408,13 +420,95 @@ impl MultipleCeBuilder {
         parallelism::search_parallelism(cand, pes, allow_rows, &dims)
     }
 
-    /// Builds a specification into a complete accelerator.
+    /// Builds a specification into a complete accelerator: validates its
+    /// layout, plans it (PE split, parallelism per CE, buffer plan), then
+    /// assembles the plan.
     ///
     /// # Errors
     ///
     /// Returns [`ArchError`] when the spec fails validation (coverage, CE
     /// roles) or the platform cannot host it (fewer DSPs than CEs).
     pub fn build(&self, spec: &AcceleratorSpec) -> Result<BuiltAccelerator, ArchError> {
+        let layout = self.layout(spec)?;
+
+        // PE distribution proportional to per-CE workload.
+        let pes = match self.options.pe_allocation {
+            PeAllocation::Proportional => {
+                let workloads: Vec<u64> = layout
+                    .ce_layers
+                    .iter()
+                    .map(|layers| layers.iter().map(|&l| self.convs[l].macs).sum())
+                    .collect();
+                distribute_pes(self.board.dsps, &workloads)
+            }
+            PeAllocation::Uniform => {
+                distribute_pes(self.board.dsps, &vec![1u64; layout.roles.len()])
+            }
+        };
+
+        // Parallelism per CE, minimizing Eq. (1) latency over its layers.
+        // Pipelined engines are row-pipelined: they parallelize filters and
+        // columns only (one OFM row per pipeline stage).
+        let parallelism = layout
+            .ce_layers
+            .iter()
+            .enumerate()
+            .map(|(id, layers)| {
+                let allow_rows = match layout.roles[id] {
+                    CeRole::Single => true,
+                    CeRole::Pipelined => self.options.pipelined_row_parallelism,
+                };
+                self.parallelism_for(pes[id], layers, allow_rows, layout.schedules[id])
+            })
+            .collect();
+
+        Ok(
+            self.assemble_layout(spec, layout, pes, parallelism, |segments, ces| {
+                buffers::plan_buffers(
+                    &self.convs,
+                    segments,
+                    ces,
+                    spec.coarse_pipeline,
+                    self.precision,
+                    self.board.bram_bytes(),
+                )
+            }),
+        )
+    }
+
+    /// Assembles a design planned outside [`Self::build`] — the PE split,
+    /// the parallelism of each CE, and the buffer plan — into the
+    /// accelerator `build(spec)` returns for the same plan. The
+    /// delta-evaluation path in `mccm-dse` plans designs from memoized
+    /// [`CeContext`]s and a whole-design [`distribute_slack`], so it
+    /// assembles here instead of planning each design twice.
+    ///
+    /// The plan is taken as given: equal to `build(spec)` exactly when it
+    /// is the plan `build` would make.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArchError`] under the same conditions as [`Self::build`].
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts the plan has one entry per CE (and per handoff).
+    pub fn assemble(
+        &self,
+        spec: &AcceleratorSpec,
+        pes: Vec<u32>,
+        parallelism: Vec<Parallelism>,
+        buffers: BufferPlan,
+    ) -> Result<BuiltAccelerator, ArchError> {
+        let layout = self.layout(spec)?;
+        debug_assert_eq!(buffers.ce.len(), layout.roles.len());
+        debug_assert_eq!(buffers.inter_segment.len() + 1, layout.segments.len());
+        Ok(self.assemble_layout(spec, layout, pes, parallelism, |_, _| buffers))
+    }
+
+    /// Validates `spec` and expands what it alone decides: segments and
+    /// each CE's role, schedule, and layers.
+    fn layout(&self, spec: &AcceleratorSpec) -> Result<Layout, ArchError> {
         let segments = spec.segments(self.convs.len())?;
         let n_ces = spec.ce_count();
         if (self.board.dsps as usize) < n_ces {
@@ -437,51 +531,49 @@ impl MultipleCeBuilder {
                 BlockSpec::Single(ce) => schedules[ce] = a.schedule,
             }
         }
-
-        // PE distribution proportional to per-CE workload.
         let ce_layers = spec.ce_layers(&segments);
-        let workloads: Vec<u64> = ce_layers
-            .iter()
-            .map(|layers| layers.iter().map(|&l| self.convs[l].macs).sum())
-            .collect();
-        let pes = match self.options.pe_allocation {
-            PeAllocation::Proportional => distribute_pes(self.board.dsps, &workloads),
-            PeAllocation::Uniform => distribute_pes(self.board.dsps, &vec![1u64; n_ces]),
-        };
+        Ok(Layout {
+            segments,
+            roles,
+            schedules,
+            ce_layers,
+        })
+    }
 
-        // Parallelism per CE, minimizing Eq. (1) latency over its layers.
-        // Pipelined engines are row-pipelined: they parallelize filters and
-        // columns only (one OFM row per pipeline stage).
+    /// The one constructor of [`BuiltAccelerator`]: engines from the
+    /// layout and the PE/parallelism plan, then the buffer plan `buffers`
+    /// returns for those segments and engines.
+    fn assemble_layout(
+        &self,
+        spec: &AcceleratorSpec,
+        layout: Layout,
+        pes: Vec<u32>,
+        parallelism: Vec<Parallelism>,
+        buffers: impl FnOnce(&[Segment], &[ComputeEngine]) -> BufferPlan,
+    ) -> BuiltAccelerator {
+        debug_assert_eq!(pes.len(), layout.roles.len());
+        debug_assert_eq!(parallelism.len(), layout.roles.len());
+        let Layout {
+            segments,
+            roles,
+            schedules,
+            ce_layers,
+        } = layout;
         let ces: Vec<ComputeEngine> = ce_layers
             .into_iter()
+            .zip(pes.into_iter().zip(parallelism))
             .enumerate()
-            .map(|(id, layers)| {
-                let allow_rows = match roles[id] {
-                    CeRole::Single => true,
-                    CeRole::Pipelined => self.options.pipelined_row_parallelism,
-                };
-                let parallelism = self.parallelism_for(pes[id], &layers, allow_rows, schedules[id]);
-                ComputeEngine {
-                    id,
-                    pes: pes[id],
-                    parallelism,
-                    role: roles[id],
-                    schedule: schedules[id],
-                    layers,
-                }
+            .map(|(id, (layers, (pes, parallelism)))| ComputeEngine {
+                id,
+                pes,
+                parallelism,
+                role: roles[id],
+                schedule: schedules[id],
+                layers,
             })
             .collect();
-
-        let buffers = buffers::plan_buffers(
-            &self.convs,
-            &segments,
-            &ces,
-            spec.coarse_pipeline,
-            self.precision,
-            self.board.bram_bytes(),
-        );
-
-        Ok(BuiltAccelerator {
+        let buffers = buffers(&segments, &ces);
+        BuiltAccelerator {
             model_name: Arc::clone(&self.model_name),
             convs: Arc::clone(&self.convs),
             board: Arc::clone(&self.board),
@@ -491,7 +583,7 @@ impl MultipleCeBuilder {
             ces,
             buffers,
             weight_compression: Vec::new(),
-        })
+        }
     }
 
     /// Convenience: builds every spec in the iterator, skipping

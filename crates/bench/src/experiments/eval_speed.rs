@@ -3,18 +3,23 @@
 //! build context + summary lane (the perf trajectory behind the repo's
 //! `BENCH_eval.json`).
 //!
-//! Two lanes over the *same* seeded design stream (Xception / VCU110,
-//! the paper's Use Case 3 setup):
+//! Lanes over the *same* seeded design stream (Xception / VCU110, the
+//! paper's Use Case 3 setup):
 //!
 //! * **baseline** — the pre-fast-lane per-design path, reconstructed:
 //!   parallelism memoization disabled, full [`CostModel::evaluate`] with
 //!   all report vectors, then [`mccm_core::Evaluation::summary`];
 //! * **fastlane** — [`Explorer::sample_custom_summaries`]: memoized
 //!   builds against the shared context plus the allocation-free
-//!   [`CostModel::evaluate_summary`].
+//!   [`CostModel::evaluate_summary`];
+//! * the optimizer's delta path ([`Explorer::custom_summary_delta`]) in
+//!   its two phases: **delta miss** (every segment misses: an empty
+//!   segment cache per design, builder memos warm — the plan, assembly
+//!   and fresh-core path) and **delta hit** (every segment cached — pure
+//!   recombination).
 //!
-//! Both lanes produce bit-identical summaries (asserted here), so the
-//! ratio is pure overhead removed, not model drift.
+//! Every lane produces bit-identical summaries (asserted here), so the
+//! ratios are pure overhead removed, not model drift.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -22,7 +27,9 @@ use std::time::Instant;
 use mccm_arch::{ArchError, MultipleCeBuilder};
 use mccm_cnn::zoo;
 use mccm_core::{CostModel, EvalScratch};
-use mccm_dse::{default_max_attempts, sample_attempt, CustomSpace, Explorer};
+use mccm_dse::{
+    default_max_attempts, sample_attempt, CustomSpace, DeltaContext, Explorer, SegCache,
+};
 use mccm_fpga::FpgaBoard;
 
 use crate::output::{Report, Table};
@@ -46,7 +53,18 @@ pub struct EvalSpeed {
     pub eval_full_us: f64,
     /// Fast-lane `evaluate_summary` microseconds per design (prebuilt).
     pub eval_summary_us: f64,
+    /// Delta-path wall time in seconds over the design stream, every
+    /// segment missing (empty segment cache per design, warm builder
+    /// memos); best of [`DELTA_ROUNDS`].
+    pub delta_miss_s: f64,
+    /// Delta-path wall time in seconds over the design stream, every
+    /// segment cached; best of [`DELTA_ROUNDS`].
+    pub delta_hit_s: f64,
 }
+
+/// Timed rounds per delta lane (the best is kept: the lanes are short
+/// enough that one scheduler hiccup would otherwise dominate).
+pub const DELTA_ROUNDS: usize = 3;
 
 impl EvalSpeed {
     /// Baseline sweep throughput in designs/second.
@@ -83,6 +101,8 @@ impl EvalSpeed {
             ("baseline (unmemoized + full evaluate)", self.baseline_s),
             ("fast lane, cold memo cache", self.fastlane_s),
             ("fast lane, warm memo cache", self.fastlane_warm_s),
+            ("delta path, every segment missing", self.delta_miss_s),
+            ("delta path, every segment cached", self.delta_hit_s),
         ] {
             t.row(vec![
                 name.into(),
@@ -138,6 +158,10 @@ impl EvalSpeed {
              \"seconds\": {:.4},\n    \"designs_per_sec\": {:.1},\n    \"ms_per_design\": {:.4}\n  }},\n  \
              \"fastlane_warm\": {{\n    \"lane\": \"same sweep, memo cache warm\",\n    \
              \"seconds\": {:.4},\n    \"designs_per_sec\": {:.1},\n    \"ms_per_design\": {:.4}\n  }},\n  \
+             \"delta_miss\": {{\n    \"lane\": \"custom_summary_delta, empty segment cache per design, builder memos warm (best of {})\",\n    \
+             \"seconds\": {:.4},\n    \"designs_per_sec\": {:.1},\n    \"ms_per_design\": {:.4}\n  }},\n  \
+             \"delta_hit\": {{\n    \"lane\": \"custom_summary_delta, every segment cached (best of {})\",\n    \
+             \"seconds\": {:.4},\n    \"designs_per_sec\": {:.1},\n    \"ms_per_design\": {:.4}\n  }},\n  \
              \"sweep_speedup_vs_baseline\": {:.2},\n  \
              \"evaluate_only\": {{\n    \"full_us_per_design\": {:.2},\n    \
              \"summary_us_per_design\": {:.2},\n    \"speedup\": {:.2}\n  }}\n}}\n",
@@ -152,6 +176,14 @@ impl EvalSpeed {
             self.fastlane_warm_s,
             self.fastlane_warm_dps(),
             self.fastlane_warm_s * 1e3 / self.designs as f64,
+            DELTA_ROUNDS,
+            self.delta_miss_s,
+            self.designs as f64 / self.delta_miss_s,
+            self.delta_miss_s * 1e3 / self.designs as f64,
+            DELTA_ROUNDS,
+            self.delta_hit_s,
+            self.designs as f64 / self.delta_hit_s,
+            self.delta_hit_s * 1e3 / self.designs as f64,
             self.sweep_speedup(),
             self.eval_full_us,
             self.eval_summary_us,
@@ -240,6 +272,50 @@ pub fn measure(count: usize, seed: u64) -> EvalSpeed {
         assert_eq!(fast.summary, *slow, "lanes diverged — fast lane is broken");
     }
 
+    // Delta lanes over the same designs. A first pass through one shared
+    // cache warms the builder memos and caches every segment; then each
+    // lane re-runs the stream, asserting its phase and the summaries.
+    let ctx = DeltaContext::new(&explorer);
+    let mut scratch = EvalScratch::new();
+    let mut hit_cache = SegCache::new();
+    let delta = |design, cache: &mut SegCache, scratch: &mut EvalScratch| {
+        explorer
+            .custom_summary_delta(design, &ctx, cache, scratch)
+            .expect("delta path agrees with the fast lane on feasibility")
+            .expect("sampled designs are feasible")
+            .summary
+    };
+    for p in &points {
+        assert_eq!(delta(&p.design, &mut hit_cache, &mut scratch), p.summary);
+    }
+    let mut delta_miss_s = f64::INFINITY;
+    let mut delta_hit_s = f64::INFINITY;
+    for _ in 0..DELTA_ROUNDS {
+        let start = Instant::now();
+        for p in &points {
+            let mut cold = SegCache::new();
+            let summary = delta(&p.design, &mut cold, &mut scratch);
+            assert_eq!(cold.stats().seg_hits, 0, "a fresh cache cannot hit");
+            assert_eq!(summary, p.summary, "delta miss lane diverged");
+        }
+        delta_miss_s = delta_miss_s.min(start.elapsed().as_secs_f64());
+        let recombined = hit_cache.stats().delta_recombines;
+        let start = Instant::now();
+        for p in &points {
+            assert_eq!(
+                delta(&p.design, &mut hit_cache, &mut scratch),
+                p.summary,
+                "delta hit lane diverged"
+            );
+        }
+        delta_hit_s = delta_hit_s.min(start.elapsed().as_secs_f64());
+        assert_eq!(
+            hit_cache.stats().delta_recombines - recombined,
+            points.len() as u64,
+            "every segment of a revisited design is cached"
+        );
+    }
+
     // Evaluation-only split on prebuilt designs (build cost excluded).
     let accs: Vec<_> = points
         .iter()
@@ -260,7 +336,6 @@ pub fn measure(count: usize, seed: u64) -> EvalSpeed {
         black_box(CostModel::evaluate(&accs[i % accs.len()]));
     }
     let eval_full_us = start.elapsed().as_secs_f64() * 1e6 / (reps * accs.len()) as f64;
-    let mut scratch = EvalScratch::new();
     let start = Instant::now();
     for i in 0..reps * accs.len() {
         black_box(CostModel::evaluate_summary(
@@ -278,6 +353,8 @@ pub fn measure(count: usize, seed: u64) -> EvalSpeed {
         fastlane_warm_s,
         eval_full_us,
         eval_summary_us,
+        delta_miss_s,
+        delta_hit_s,
     }
 }
 
@@ -293,6 +370,9 @@ mod tests {
         let json = m.to_json();
         assert!(json.contains("\"sweep_speedup_vs_baseline\""));
         assert!(json.contains("\"history\""));
+        assert!(json.contains("\"delta_miss\""));
+        assert!(json.contains("\"delta_hit\""));
+        assert!(m.delta_miss_s > 0.0 && m.delta_hit_s > 0.0);
         assert!(json.contains("\"designs\": 24"));
         assert_eq!(m.report().tables.len(), 2);
     }

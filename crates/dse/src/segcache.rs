@@ -7,7 +7,12 @@
 //! (`CostModel::segment_cost` + `CostModel::recombine`): a design's
 //! segments are keyed by everything their cost depends on, cached across
 //! designs, and a warm design is recombined from cached [`SegmentCost`]s
-//! without building an accelerator at all.
+//! without building an accelerator at all. A design that misses a
+//! segment is planned once, from the builder's memoized per-CE contexts
+//! and a whole-design slack distribution; the builder assembles that plan
+//! into the accelerator (`MultipleCeBuilder::assemble`, equal to a full
+//! build field for field), and only the missing segments run fresh
+//! cores.
 //!
 //! **Invariant (delta ≡ full ≡ rich):** [`Explorer::custom_summary_delta`]
 //! is bit-identical to `Explorer::custom_summary_cell` for every design —
@@ -29,8 +34,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use mccm_arch::builder::distribute_pes;
 use mccm_arch::{
-    distribute_slack, notation, ArchError, CeBufferAlloc, CeContext, CeRole, InterSegmentBuffer,
-    PeAllocation, Schedule,
+    distribute_slack, notation, AcceleratorSpec, ArchError, BufferPlan, BuiltAccelerator,
+    CeBufferAlloc, CeContext, CeRole, InterSegmentBuffer, Parallelism, PeAllocation, Schedule,
 };
 use mccm_core::{
     Bandwidth, Bytes, CostModel, DesignCoupling, EvalScratch, Macs, ModelConfig, SegmentCost,
@@ -259,7 +264,9 @@ pub struct CacheStats {
     /// Designs recombined entirely from cached segments — no
     /// accelerator build, no block-model core runs.
     pub delta_recombines: u64,
-    /// Designs that paid a full accelerator build (≥ 1 segment miss).
+    /// Designs that ran ≥ 1 fresh segment core, assembled from the delta
+    /// plan (≥ 1 segment miss; heads past the packed key's reach take the
+    /// full path instead). The JSON key keeps its historical name.
     pub full_builds: u64,
     /// Design outcomes served from the per-island memo (budget-free).
     pub memo_hits: u64,
@@ -318,6 +325,8 @@ pub struct SegCache {
     full_builds: u64,
     // Reusable per-design staging (cleared per evaluation).
     workloads: Vec<u64>,
+    pes: Vec<u32>,
+    parallelism: Vec<Parallelism>,
     allocs: Vec<CeBufferAlloc>,
     inter: Vec<InterSegmentBuffer>,
     keys: Vec<SegKey>,
@@ -428,10 +437,12 @@ impl DeltaContext {
 
 impl Explorer {
     /// Delta twin of `custom_summary_cell`: evaluates a custom design by
-    /// recombining cached per-segment costs, falling back to one full
-    /// build (which populates the cache) when any segment misses.
-    /// `Ok(None)` when infeasible, `Err` on real faults — **bit-identical
-    /// to the full path in all three cases, for any cache state**.
+    /// recombining cached per-segment costs. When any segment misses, it
+    /// assembles the accelerator from the plan it already made (no second
+    /// build) and runs fresh cores only for the missing segments, caching
+    /// them. `Ok(None)` when infeasible, `Err` on real faults —
+    /// **bit-identical to the full path in all three cases, for any cache
+    /// state**.
     ///
     /// `ctx` must have been built from this explorer (same model, board,
     /// precision, builder options), and `cache` must not be shared across
@@ -464,130 +475,7 @@ impl Explorer {
             cache.full_builds += 1;
             return self.custom_summary_cell(design, scratch);
         }
-
-        // PE split from per-CE workloads, exactly as the full build.
-        cache.workloads.clear();
-        for l in 0..h {
-            cache.workloads.push(ctx.macs(l, l + 1));
-        }
-        let mut first = h;
-        for &end in &design.tail_ends {
-            cache.workloads.push(ctx.macs(first, end));
-            first = end;
-        }
-        if ctx.uniform_pes {
-            cache.workloads.clear();
-            cache.workloads.resize(n_ces, 1);
-        }
-        let pes = distribute_pes(ctx.dsps, &cache.workloads);
-
-        // Per-CE contexts through the builder's memoized hook, then the
-        // whole-design slack distribution over their needs.
-        cache.allocs.clear();
-        for (i, &p) in pes.iter().enumerate().take(h) {
-            let key = (p, i, 1usize, CeRole::Pipelined, Schedule::LayerByLayer);
-            let c = match cache.ctxs.get(&key) {
-                Some(c) => *c,
-                None => {
-                    let c = self.builder().ce_context(
-                        p,
-                        i,
-                        1,
-                        CeRole::Pipelined,
-                        Schedule::LayerByLayer,
-                    );
-                    if cache.ctxs.len() < CTX_CACHE_CAP {
-                        cache.ctxs.insert(key, c);
-                    }
-                    c
-                }
-            };
-            cache.allocs.push(c.needs);
-        }
-        let mut first = h;
-        for (j, &end) in design.tail_ends.iter().enumerate() {
-            let key = (
-                pes[h + j],
-                first,
-                end - first,
-                CeRole::Single,
-                design.schedule,
-            );
-            let c = match cache.ctxs.get(&key) {
-                Some(c) => *c,
-                None => {
-                    let c = self.builder().ce_context(
-                        pes[h + j],
-                        first,
-                        end - first,
-                        CeRole::Single,
-                        design.schedule,
-                    );
-                    if cache.ctxs.len() < CTX_CACHE_CAP {
-                        cache.ctxs.insert(key, c);
-                    }
-                    c
-                }
-            };
-            cache.allocs.push(c.needs);
-            first = end;
-        }
-        cache.inter.clear();
-        cache.inter.push(InterSegmentBuffer {
-            bytes_needed: ctx.handoff_bytes[h - 1],
-            on_chip: false,
-            pipelined_handoff: true,
-            same_block: false,
-        });
-        for &end in &design.tail_ends[..design.tail_ends.len() - 1] {
-            cache.inter.push(InterSegmentBuffer {
-                bytes_needed: ctx.handoff_bytes[end - 1],
-                on_chip: false,
-                pipelined_handoff: true,
-                same_block: false,
-            });
-        }
-        // Never errors: an unfit plan degrades to minimum grants with
-        // off-chip handoffs, exactly as `plan_buffers`.
-        distribute_slack(
-            &mut cache.allocs,
-            |i| {
-                if i < h {
-                    CeRole::Pipelined
-                } else {
-                    CeRole::Single
-                }
-            },
-            &mut cache.inter,
-            ctx.bram_bytes,
-        );
-
-        // Segment keys: head block, then one single-CE segment per tail.
-        cache.keys.clear();
-        let mut stages = [(0u32, 0u64); MAX_HEAD_CES];
-        for i in 0..h {
-            stages[i] = (pes[i], cache.allocs[i].bytes);
-        }
-        cache.keys.push(SegKey::Pipe {
-            len: h,
-            stages,
-            output_off: !cache.inter[0].on_chip,
-        });
-        let mut first = h;
-        for (j, &end) in design.tail_ends.iter().enumerate() {
-            let input_off = !cache.inter[j].on_chip;
-            let output_off = j + 1 == design.tail_ends.len() || !cache.inter[j + 1].on_chip;
-            cache.keys.push(SegKey::Single {
-                first,
-                len: end - first,
-                pes: pes[h + j],
-                schedule: design.schedule,
-                bytes: cache.allocs[h + j].bytes,
-                input_off,
-                output_off,
-            });
-            first = end;
-        }
+        let fits_minimums = self.plan_delta(design, ctx, cache);
 
         // Probe. Cached costs carry the block identity of the design they
         // were computed in; re-stamp it for this design's CE numbering
@@ -606,111 +494,249 @@ impl Explorer {
             all_hit &= cache.staged[idx].is_some();
         }
 
-        let config = ModelConfig::default();
+        // The design-level terms, from the plan (notation memoized per
+        // design: the formatter costs more than a recombination).
+        let req: u64 = cache.allocs.iter().map(|a| a.ideal_bytes).sum::<u64>()
+            + cache.inter.iter().map(|b| b.bytes_needed).sum::<u64>();
+        let granted: u64 = cache.allocs.iter().map(|a| a.bytes).sum::<u64>()
+            + cache
+                .inter
+                .iter()
+                .filter(|b| b.on_chip)
+                .map(|b| b.bytes_needed)
+                .sum::<u64>();
+        let dkey = DesignKey::of(design);
+        let notation = match cache.notations.get(&dkey) {
+            Some(s) => s.clone(),
+            None => {
+                let s = notation::format(&spec);
+                if cache.notations.len() < DESIGN_MEMO_CAP {
+                    cache.notations.insert(dkey, s.clone());
+                }
+                s
+            }
+        };
+        let coupling = DesignCoupling {
+            notation,
+            ce_count: n_ces,
+            total_macs: ctx.total_macs,
+            coarse_pipeline: spec.coarse_pipeline,
+            cycle_time_s: ctx.cycle_time_s,
+            bandwidth: ctx.bandwidth,
+            buffer_req_bytes: Bytes::new(req),
+            buffer_alloc_bytes: Bytes::new(granted),
+        };
+
         if all_hit {
             cache.hits += cache.keys.len() as u64;
             cache.delta_recombines += 1;
-            let req: u64 = cache.allocs.iter().map(|a| a.ideal_bytes).sum::<u64>()
-                + cache.inter.iter().map(|b| b.bytes_needed).sum::<u64>();
-            let granted: u64 = cache.allocs.iter().map(|a| a.bytes).sum::<u64>()
-                + cache
-                    .inter
-                    .iter()
-                    .filter(|b| b.on_chip)
-                    .map(|b| b.bytes_needed)
-                    .sum::<u64>();
-            let dkey = DesignKey::of(design);
-            let notation = match cache.notations.get(&dkey) {
-                Some(s) => s.clone(),
-                None => {
-                    let s = notation::format(&spec);
-                    if cache.notations.len() < DESIGN_MEMO_CAP {
-                        cache.notations.insert(dkey, s.clone());
-                    }
-                    s
+        } else {
+            // ≥ 1 segment missed: assemble the planned accelerator, run
+            // fresh cores only for the missing segments, cache them.
+            let acc = match self.assemble_delta(&spec, ctx, cache, fits_minimums) {
+                Ok(acc) => acc,
+                Err(ArchError::Infeasible { .. }) => return Ok(None),
+                Err(e) => return Err(e),
+            };
+            cache.full_builds += 1;
+            let config = ModelConfig::default();
+            #[cfg(debug_assertions)]
+            {
+                assert_same_accelerator(
+                    &acc,
+                    &self
+                        .builder()
+                        .build(&spec)
+                        .expect("an assembled design builds"),
+                );
+                debug_assert_eq!(coupling, CostModel::design_coupling(&acc, &config));
+            }
+            let mut staged = std::mem::take(&mut cache.staged);
+            for (idx, slot) in staged.iter_mut().enumerate() {
+                if let Some(_cost) = slot {
+                    cache.hits += 1;
+                    #[cfg(debug_assertions)]
+                    debug_assert_eq!(
+                        *_cost,
+                        CostModel::segment_cost(&acc, idx, &config, scratch),
+                        "cached segment {idx} diverged from a fresh core run"
+                    );
+                } else {
+                    let cost = CostModel::segment_cost(&acc, idx, &config, scratch);
+                    cache.insert(cache.keys[idx], cost);
+                    cache.misses += 1;
+                    *slot = Some(cost);
                 }
-            };
-            let coupling = DesignCoupling {
-                notation,
-                ce_count: n_ces,
-                total_macs: ctx.total_macs,
-                coarse_pipeline: spec.coarse_pipeline,
-                cycle_time_s: ctx.cycle_time_s,
-                bandwidth: ctx.bandwidth,
-                buffer_req_bytes: Bytes::new(req),
-                buffer_alloc_bytes: Bytes::new(granted),
-            };
-            cache.costs.clear();
-            cache
-                .costs
-                .extend(cache.staged.iter().map(|c| c.expect("all hit")));
-            let costs = std::mem::take(&mut cache.costs);
-            let summary = CostModel::recombine(coupling, &costs, scratch);
-            cache.costs = costs;
-            return Ok(Some(CustomPoint {
-                design: design.clone(),
-                summary,
-            }));
+            }
+            cache.staged = staged;
         }
 
-        // ≥ 1 segment missed: one full build, fresh cores only for the
-        // missing segments, cache them, recombine.
-        let acc = match self.builder().build(&spec) {
-            Ok(acc) => acc,
-            Err(ArchError::Infeasible { .. }) => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        cache.full_builds += 1;
-        #[cfg(debug_assertions)]
-        {
-            // The hook-planned contexts must be the built plan, byte for
-            // byte — the property every cached cost's validity rests on.
-            for (i, a) in cache.allocs.iter().enumerate() {
-                debug_assert_eq!(a, &acc.buffers.ce[i], "CE {i} alloc diverged");
-                debug_assert_eq!(pes[i], acc.ces[i].pes, "CE {i} PE split diverged");
-            }
-            for (i, b) in cache.inter.iter().enumerate() {
-                debug_assert_eq!(b, &acc.buffers.inter_segment[i], "handoff {i} diverged");
-            }
-        }
-        let mut staged = std::mem::take(&mut cache.staged);
-        for (idx, slot) in staged.iter_mut().enumerate() {
-            if let Some(_cost) = slot {
-                cache.hits += 1;
-                #[cfg(debug_assertions)]
-                debug_assert_eq!(
-                    *_cost,
-                    CostModel::segment_cost(&acc, idx, &config, scratch),
-                    "cached segment {idx} diverged from a fresh core run"
-                );
-            } else {
-                let cost = CostModel::segment_cost(&acc, idx, &config, scratch);
-                cache.insert(cache.keys[idx], cost);
-                cache.misses += 1;
-                *slot = Some(cost);
-            }
-        }
         cache.costs.clear();
         cache
             .costs
-            .extend(staged.iter().map(|c| c.expect("all staged")));
-        cache.staged = staged;
+            .extend(cache.staged.iter().map(|c| c.expect("all staged")));
         let costs = std::mem::take(&mut cache.costs);
-        let summary =
-            CostModel::recombine(CostModel::design_coupling(&acc, &config), &costs, scratch);
+        let summary = CostModel::recombine(coupling, &costs, scratch);
         cache.costs = costs;
-        // Seed the notation memo so this design's first all-hit revisit
-        // skips the formatter along with the build.
-        if cache.notations.len() < DESIGN_MEMO_CAP {
-            cache
-                .notations
-                .insert(DesignKey::of(design), summary.notation.clone());
-        }
         Ok(Some(CustomPoint {
             design: design.clone(),
             summary,
         }))
     }
+
+    /// Plans `design` into `cache`'s staging buffers exactly as the full
+    /// build plans it — PE split, per-CE contexts through the builder's
+    /// memoized hook, whole-design slack distribution, handoff buffers —
+    /// and derives its segment keys. Returns whether the buffer minimums
+    /// fit. The design must be feasible with a head of at most
+    /// [`MAX_HEAD_CES`] CEs.
+    fn plan_delta(&self, design: &CustomDesign, ctx: &DeltaContext, cache: &mut SegCache) -> bool {
+        let h = design.head_layers;
+        let n_ces = h + design.tail_ends.len();
+        // PE split from per-CE workloads, exactly as the full build.
+        cache.workloads.clear();
+        if ctx.uniform_pes {
+            cache.workloads.resize(n_ces, 1);
+        } else {
+            for l in 0..h {
+                cache.workloads.push(ctx.macs(l, l + 1));
+            }
+            let mut first = h;
+            for &end in &design.tail_ends {
+                cache.workloads.push(ctx.macs(first, end));
+                first = end;
+            }
+        }
+        cache.pes = distribute_pes(ctx.dsps, &cache.workloads);
+
+        // Per-CE contexts through the builder's memoized hook, then the
+        // whole-design slack distribution over their needs.
+        cache.allocs.clear();
+        cache.parallelism.clear();
+        for i in 0..n_ces {
+            let key = if i < h {
+                (
+                    cache.pes[i],
+                    i,
+                    1,
+                    CeRole::Pipelined,
+                    Schedule::LayerByLayer,
+                )
+            } else {
+                let first = if i == h {
+                    h
+                } else {
+                    design.tail_ends[i - h - 1]
+                };
+                let len = design.tail_ends[i - h] - first;
+                (cache.pes[i], first, len, CeRole::Single, design.schedule)
+            };
+            let c = match cache.ctxs.get(&key) {
+                Some(c) => *c,
+                None => {
+                    let (pes, first, len, role, schedule) = key;
+                    let c = self.builder().ce_context(pes, first, len, role, schedule);
+                    if cache.ctxs.len() < CTX_CACHE_CAP {
+                        cache.ctxs.insert(key, c);
+                    }
+                    c
+                }
+            };
+            cache.allocs.push(c.needs);
+            cache.parallelism.push(c.parallelism);
+        }
+        cache.inter.clear();
+        for &end in std::iter::once(&h).chain(&design.tail_ends[..design.tail_ends.len() - 1]) {
+            cache.inter.push(InterSegmentBuffer {
+                bytes_needed: ctx.handoff_bytes[end - 1],
+                on_chip: false,
+                pipelined_handoff: true,
+                same_block: false,
+            });
+        }
+        // Never errors: an unfit plan degrades to minimum grants with
+        // off-chip handoffs, exactly as the full build's buffer plan.
+        let fits_minimums = distribute_slack(
+            &mut cache.allocs,
+            |i| {
+                if i < h {
+                    CeRole::Pipelined
+                } else {
+                    CeRole::Single
+                }
+            },
+            &mut cache.inter,
+            ctx.bram_bytes,
+        );
+
+        // Segment keys: head block, then one single-CE segment per tail.
+        cache.keys.clear();
+        let mut stages = [(0u32, 0u64); MAX_HEAD_CES];
+        for (stage, (&pes, alloc)) in stages
+            .iter_mut()
+            .zip(cache.pes.iter().zip(&cache.allocs))
+            .take(h)
+        {
+            *stage = (pes, alloc.bytes);
+        }
+        cache.keys.push(SegKey::Pipe {
+            len: h,
+            stages,
+            output_off: !cache.inter[0].on_chip,
+        });
+        let mut first = h;
+        for (j, &end) in design.tail_ends.iter().enumerate() {
+            let input_off = !cache.inter[j].on_chip;
+            let output_off = j + 1 == design.tail_ends.len() || !cache.inter[j + 1].on_chip;
+            cache.keys.push(SegKey::Single {
+                first,
+                len: end - first,
+                pes: cache.pes[h + j],
+                schedule: design.schedule,
+                bytes: cache.allocs[h + j].bytes,
+                input_off,
+                output_off,
+            });
+            first = end;
+        }
+        fits_minimums
+    }
+
+    /// The accelerator of the plan [`Self::plan_delta`] staged in
+    /// `cache`, assembled by the builder without planning it again.
+    fn assemble_delta(
+        &self,
+        spec: &AcceleratorSpec,
+        ctx: &DeltaContext,
+        cache: &SegCache,
+        fits_minimums: bool,
+    ) -> Result<BuiltAccelerator, ArchError> {
+        self.builder().assemble(
+            spec,
+            cache.pes.clone(),
+            cache.parallelism.clone(),
+            BufferPlan {
+                ce: cache.allocs.clone(),
+                inter_segment: cache.inter.clone(),
+                bram_bytes: ctx.bram_bytes,
+                fits_minimums,
+            },
+        )
+    }
+}
+
+/// Asserts two accelerators are the same design field for field — the
+/// property every cached cost's validity rests on when the delta path
+/// assembles a design instead of building it.
+#[cfg(any(test, debug_assertions))]
+fn assert_same_accelerator(assembled: &BuiltAccelerator, built: &BuiltAccelerator) {
+    let notation = built.notation();
+    assert_eq!(assembled.spec, built.spec);
+    assert_eq!(assembled.segments, built.segments, "{notation}");
+    assert_eq!(assembled.ces, built.ces, "{notation}");
+    assert_eq!(assembled.buffers, built.buffers, "{notation}");
+    assert_eq!(assembled.precision, built.precision);
+    assert_eq!(assembled.weight_compression, built.weight_compression);
 }
 
 #[cfg(test)]
@@ -782,6 +808,48 @@ mod tests {
         let stats = cache.stats();
         assert!(stats.seg_hits > 0, "repeat sampling must warm the cache");
         assert!(stats.seg_misses > 0);
+    }
+
+    #[test]
+    fn assembled_misses_equal_full_builds() {
+        // The accelerator a segment miss assembles from the delta plan
+        // must be the one a full build makes, field for field — in release
+        // builds too, where the miss path's debug assert is compiled out.
+        // Boards: the four calibrate pairs, plus a BRAM-starved one whose
+        // minimums never fit.
+        let starved = FpgaBoard::new("starved", 2520, mccm_fpga::MiB(0.05), 19.2);
+        let cases = [
+            (zoo::resnet50(), FpgaBoard::vcu108()),
+            (zoo::xception(), FpgaBoard::vcu110()),
+            (zoo::densenet121(), FpgaBoard::zcu102()),
+            (zoo::mobilenet_v2(), FpgaBoard::zc706()),
+            (zoo::mobilenet_v2(), starved),
+        ];
+        let mut fits = [0usize; 2];
+        for (seed, (m, board)) in (1u64..).zip(&cases) {
+            let e = Explorer::new(m, board);
+            let ctx = DeltaContext::new(&e);
+            let mut cache = SegCache::new();
+            let mut sampler = CustomSampler::new(e.paper_space().with_max_fuse_depth(3), seed);
+            for _ in 0..40 {
+                let d = sampler.sample();
+                let Ok(spec) = d.to_spec(m) else { continue };
+                if d.head_layers > MAX_HEAD_CES {
+                    continue;
+                }
+                let fits_minimums = e.plan_delta(&d, &ctx, &mut cache);
+                fits[usize::from(fits_minimums)] += 1;
+                let assembled = e
+                    .assemble_delta(&spec, &ctx, &cache, fits_minimums)
+                    .unwrap();
+                assert_same_accelerator(&assembled, &e.builder().build(&spec).unwrap());
+            }
+        }
+        assert!(
+            fits[0] > 0,
+            "the starved board must exercise unfit minimums"
+        );
+        assert!(fits[1] > 0);
     }
 
     #[test]

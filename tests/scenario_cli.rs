@@ -261,6 +261,48 @@ fn batch_mode_reports_per_file_errors_and_fails() {
     std::fs::remove_dir_all(&tmp).ok();
 }
 
+/// The delta-evaluation smoke's Outcome `cache` counters, pinned. They
+/// are pure functions of the input, so a change to how the optimizer
+/// obtains a design's cost (cache, memo, assembly) must leave them
+/// exactly here, at any worker count — or move them on purpose.
+#[test]
+fn delta_smoke_cache_counters_are_pinned() {
+    for workers in ["1", "2"] {
+        let out = run_cli(&[
+            "optimize",
+            "--model",
+            "xception",
+            "--board",
+            "vcu110",
+            "--budget",
+            "400",
+            "--population",
+            "12",
+            "--islands",
+            "2",
+            "--seed",
+            "1",
+            "--workers",
+            workers,
+            "--json",
+        ])
+        .unwrap();
+        let parsed = Json::parse(&out).unwrap();
+        let cache = parsed.get("cache").unwrap();
+        let count = |key: &str| cache.get(key).and_then(Json::as_u64);
+        assert_eq!(count("seg_hits"), Some(372), "workers {workers}");
+        assert_eq!(count("seg_misses"), Some(1046), "workers {workers}");
+        assert_eq!(count("delta_recombines"), Some(0), "workers {workers}");
+        assert_eq!(count("full_builds"), Some(400), "workers {workers}");
+        assert_eq!(count("memo_hits"), Some(376), "workers {workers}");
+        assert_eq!(
+            parsed.get("feasible").and_then(Json::as_u64),
+            Some(400),
+            "workers {workers}"
+        );
+    }
+}
+
 #[test]
 fn unknown_and_duplicate_flags_are_regression_locked() {
     // Unknown flag: named, with the command and its real flags listed.
